@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <unordered_map>
+#include <unordered_set>
 
 namespace seqdet::query {
 
@@ -21,6 +22,24 @@ namespace {
 double Score(uint64_t completions, double average_duration) {
   if (average_duration <= 0) return static_cast<double>(completions);
   return static_cast<double>(completions) / average_duration;
+}
+
+/// Counts one completion whose last step took `gap` into `proposal`, unless
+/// the gap breaks the caller's bound (Algorithm 3 line 7).
+void AddCompletion(Timestamp gap, const ContinuationConstraints& constraints,
+                   ContinuationProposal* proposal) {
+  if (constraints.max_gap.has_value() && gap > *constraints.max_gap) return;
+  ++proposal->total_completions;
+  proposal->sum_duration += gap;
+}
+
+/// Derives the average from the integer gap sum AddCompletion built.
+void SetAverageDuration(ContinuationProposal* proposal) {
+  proposal->average_duration =
+      proposal->total_completions == 0
+          ? 0.0
+          : static_cast<double>(proposal->sum_duration) /
+                static_cast<double>(proposal->total_completions);
 }
 
 struct TraceTsKey {
@@ -979,56 +998,49 @@ Result<ContinuationProposal> QueryProcessor::VerifyCandidate(
       auto postings,
       index_->GetPairPostingsShared(
           EventTypePair{pattern.activities.back(), candidate}));
-  // base_matches is reused for every candidate, so it is copied (by the
-  // by-value parameter) rather than moved into the join.
-  SEQDET_ASSIGN_OR_RETURN(std::vector<PatternMatch> extended,
-                          ExtendMatches(base_matches, *postings));
-
   ContinuationProposal proposal;
   proposal.activity = candidate;
-  int64_t total_gap = 0;
-  for (const PatternMatch& match : extended) {
-    Timestamp gap = match.timestamps[match.timestamps.size() - 1] -
-                    match.timestamps[match.timestamps.size() - 2];
-    if (constraints.max_gap.has_value() && gap > *constraints.max_gap) {
-      continue;  // line 7: time constraint
+  if (pattern.size() == 1) {
+    // A single-event base: the (base, candidate) postings are themselves
+    // the completions.
+    for (const PairOccurrence& posting : *postings) {
+      AddCompletion(posting.ts_second - posting.ts_first, constraints,
+                    &proposal);
     }
-    ++proposal.total_completions;
-    total_gap += gap;
+  } else {
+    // base_matches is reused for every candidate, so it is copied (by the
+    // by-value parameter) rather than moved into the join.
+    SEQDET_ASSIGN_OR_RETURN(std::vector<PatternMatch> extended,
+                            ExtendMatches(base_matches, *postings));
+    for (const PatternMatch& match : extended) {
+      AddCompletion(match.timestamps[match.timestamps.size() - 1] -
+                        match.timestamps[match.timestamps.size() - 2],
+                    constraints, &proposal);
+    }
   }
-  proposal.sum_duration = total_gap;
-  proposal.average_duration =
-      proposal.total_completions == 0
-          ? 0.0
-          : static_cast<double>(total_gap) /
-                static_cast<double>(proposal.total_completions);
+  SetAverageDuration(&proposal);
   return proposal;
 }
 
-Result<ContinuationProposal> QueryProcessor::VerifySingleEventCandidate(
-    ActivityId base, ActivityId candidate,
+Result<std::vector<ContinuationProposal>> QueryProcessor::VerifyContinuations(
+    const Pattern& pattern, const std::vector<ActivityId>& candidates,
     const ContinuationConstraints& constraints) const {
-  SEQDET_ASSIGN_OR_RETURN(
-      auto postings,
-      index_->GetPairPostingsShared(EventTypePair{base, candidate}));
-  ContinuationProposal proposal;
-  proposal.activity = candidate;
-  int64_t total_gap = 0;
-  for (const PairOccurrence& posting : *postings) {
-    Timestamp gap = posting.ts_second - posting.ts_first;
-    if (constraints.max_gap.has_value() && gap > *constraints.max_gap) {
-      continue;
-    }
-    ++proposal.total_completions;
-    total_gap += gap;
+  // Detect the base pattern once; each candidate only joins one more pair
+  // (§5.4.2: continuation is incremental, the base is not re-queried).
+  std::vector<PatternMatch> base_matches;
+  if (pattern.size() >= 2 && !candidates.empty()) {
+    SEQDET_ASSIGN_OR_RETURN(base_matches, Detect(pattern));
   }
-  proposal.sum_duration = total_gap;
-  proposal.average_duration =
-      proposal.total_completions == 0
-          ? 0.0
-          : static_cast<double>(total_gap) /
-                static_cast<double>(proposal.total_completions);
-  return proposal;
+  std::vector<ContinuationProposal> proposals;
+  SEQDET_RETURN_IF_ERROR(VerifyCandidates(
+      candidates.size(),
+      [&](size_t i) {
+        return VerifyCandidate(pattern, base_matches, candidates[i],
+                               constraints);
+      },
+      &proposals));
+  RankProposals(&proposals);
+  return proposals;
 }
 
 Result<std::vector<ContinuationProposal>> QueryProcessor::ContinueAccurate(
@@ -1038,29 +1050,31 @@ Result<std::vector<ContinuationProposal>> QueryProcessor::ContinueAccurate(
   }
   // Line 2: candidate continuations from the Count table.
   SEQDET_ASSIGN_OR_RETURN(
-      auto candidates, index_->GetFollowerStats(pattern.activities.back()));
-
-  // Detect the base pattern once; each candidate only joins one more pair
-  // (§5.4.2: continuation is incremental, the base is not re-queried).
-  std::vector<PatternMatch> base_matches;
-  if (pattern.size() >= 2) {
-    SEQDET_ASSIGN_OR_RETURN(base_matches, Detect(pattern));
+      auto followers, index_->GetFollowerStats(pattern.activities.back()));
+  std::vector<ActivityId> candidates;
+  candidates.reserve(followers.size());
+  for (const PairCountStats& follower : followers) {
+    candidates.push_back(follower.other);
   }
+  return VerifyContinuations(pattern, candidates, constraints);
+}
 
-  std::vector<ContinuationProposal> proposals;
-  SEQDET_RETURN_IF_ERROR(VerifyCandidates(
-      candidates.size(),
-      [&](size_t i) -> Result<ContinuationProposal> {
-        if (pattern.size() == 1) {
-          return VerifySingleEventCandidate(pattern.activities.back(),
-                                            candidates[i].other, constraints);
-        }
-        return VerifyCandidate(pattern, base_matches, candidates[i].other,
-                               constraints);
-      },
-      &proposals));
-  RankProposals(&proposals);
-  return proposals;
+Result<std::vector<ContinuationProposal>>
+QueryProcessor::ContinueAccurateAmong(
+    const Pattern& pattern, const std::vector<ActivityId>& candidates,
+    const ContinuationConstraints& constraints) const {
+  if (pattern.empty()) {
+    return Status::InvalidArgument("empty continuation pattern");
+  }
+  SEQDET_ASSIGN_OR_RETURN(
+      auto followers, index_->GetFollowerStats(pattern.activities.back()));
+  const std::unordered_set<ActivityId> wanted(candidates.begin(),
+                                              candidates.end());
+  std::vector<ActivityId> verify;
+  for (const PairCountStats& follower : followers) {
+    if (wanted.count(follower.other) > 0) verify.push_back(follower.other);
+  }
+  return VerifyContinuations(pattern, verify, constraints);
 }
 
 Result<std::vector<ContinuationProposal>> QueryProcessor::ContinueAccurateNaive(
@@ -1081,22 +1095,12 @@ Result<std::vector<ContinuationProposal>> QueryProcessor::ContinueAccurateNaive(
       continue;
     }
     SEQDET_ASSIGN_OR_RETURN(auto matches, Detect(extended));
-    int64_t total_gap = 0;
     for (const PatternMatch& match : matches) {
-      Timestamp gap = match.timestamps[match.timestamps.size() - 1] -
-                      match.timestamps[match.timestamps.size() - 2];
-      if (constraints.max_gap.has_value() && gap > *constraints.max_gap) {
-        continue;
-      }
-      ++proposal.total_completions;
-      total_gap += gap;
+      AddCompletion(match.timestamps[match.timestamps.size() - 1] -
+                        match.timestamps[match.timestamps.size() - 2],
+                    constraints, &proposal);
     }
-    proposal.sum_duration = total_gap;
-    proposal.average_duration =
-        proposal.total_completions == 0
-            ? 0.0
-            : static_cast<double>(total_gap) /
-                  static_cast<double>(proposal.total_completions);
+    SetAverageDuration(&proposal);
     proposals.push_back(proposal);
   }
   RankProposals(&proposals);
@@ -1234,28 +1238,17 @@ QueryProcessor::ContinueInsertAccurate(
         ContinuationProposal proposal;
         proposal.activity = candidate.activity;
         SEQDET_ASSIGN_OR_RETURN(auto matches, Detect(spliced));
-        int64_t total_gap = 0;
         for (const PatternMatch& match : matches) {
           // Duration of the detour through the inserted event.
           size_t at = gap_index;  // index of the inserted event in the match
-          Timestamp gap =
-              at + 1 < match.timestamps.size()
-                  ? match.timestamps[at + 1] -
-                        (at > 0 ? match.timestamps[at - 1]
-                                : match.timestamps[at])
-                  : match.timestamps[at] - match.timestamps[at - 1];
-          if (constraints.max_gap.has_value() && gap > *constraints.max_gap) {
-            continue;
-          }
-          ++proposal.total_completions;
-          total_gap += gap;
+          AddCompletion(at + 1 < match.timestamps.size()
+                            ? match.timestamps[at + 1] -
+                                  (at > 0 ? match.timestamps[at - 1]
+                                          : match.timestamps[at])
+                            : match.timestamps[at] - match.timestamps[at - 1],
+                        constraints, &proposal);
         }
-        proposal.sum_duration = total_gap;
-        proposal.average_duration =
-            proposal.total_completions == 0
-                ? 0.0
-                : static_cast<double>(total_gap) /
-                      static_cast<double>(proposal.total_completions);
+        SetAverageDuration(&proposal);
         return proposal;
       },
       &proposals));
@@ -1270,29 +1263,15 @@ Result<std::vector<ContinuationProposal>> QueryProcessor::ContinueHybrid(
   SEQDET_ASSIGN_OR_RETURN(auto fast, ContinueFast(pattern));
   if (top_k == 0) return fast;
 
-  // Line 4: Accurate verification of the topK candidates only.
-  std::vector<PatternMatch> base_matches;
-  if (pattern.size() >= 2) {
-    SEQDET_ASSIGN_OR_RETURN(base_matches, Detect(pattern));
+  // Line 4: Accurate verification of the topK candidates only. Line 5:
+  // only the verified topK are returned, re-ranked by their accurate
+  // scores. (Mixing the unverified Fast tail back in would let its
+  // optimistic upper-bound counts outrank verified candidates.)
+  std::vector<ActivityId> top;
+  for (size_t i = 0; i < std::min(top_k, fast.size()); ++i) {
+    top.push_back(fast[i].activity);
   }
-  std::vector<ContinuationProposal> proposals;
-  size_t limit = std::min(top_k, fast.size());
-  SEQDET_RETURN_IF_ERROR(VerifyCandidates(
-      limit,
-      [&](size_t i) -> Result<ContinuationProposal> {
-        if (pattern.size() == 1) {
-          return VerifySingleEventCandidate(pattern.activities.back(),
-                                            fast[i].activity, constraints);
-        }
-        return VerifyCandidate(pattern, base_matches, fast[i].activity,
-                               constraints);
-      },
-      &proposals));
-  // Line 5: only the verified topK are returned, re-ranked by their
-  // accurate scores. (Mixing the unverified Fast tail back in would let
-  // its optimistic upper-bound counts outrank verified candidates.)
-  RankProposals(&proposals);
-  return proposals;
+  return VerifyContinuations(pattern, top, constraints);
 }
 
 }  // namespace seqdet::query

@@ -171,6 +171,17 @@ class QueryProcessor {
       const Pattern& pattern,
       const ContinuationConstraints& constraints = {}) const;
 
+  /// ContinueAccurate restricted to `candidates`: only the followers of the
+  /// pattern's last event that appear in `candidates` are verified, so the
+  /// result is ContinueAccurate's with every other proposal removed. Ids
+  /// that are not followers contribute nothing. The shard router's hybrid
+  /// verify leg asks each shard for just its top-k this way (DESIGN.md
+  /// §15).
+  Result<std::vector<ContinuationProposal>> ContinueAccurateAmong(
+      const Pattern& pattern,
+      const std::vector<eventlog::ActivityId>& candidates,
+      const ContinuationConstraints& constraints = {}) const;
+
   /// Algorithm 3 exactly as printed: getCompletions(tempPattern) re-runs
   /// the full detection for every candidate, so the cost is
   /// |candidates| x Detect(p+1). ContinueAccurate computes the base
@@ -269,16 +280,21 @@ class QueryProcessor {
 
   /// Accurate verification of a single candidate given the precomputed
   /// base-pattern matches (the "incremental" advantage of §5.4.2: the base
-  /// pattern is not re-detected per candidate).
+  /// pattern is not re-detected per candidate). For a single-event base
+  /// pattern the postings of (base, candidate) are themselves the
+  /// completions.
   Result<ContinuationProposal> VerifyCandidate(
       const Pattern& pattern, const std::vector<PatternMatch>& base_matches,
       eventlog::ActivityId candidate,
       const ContinuationConstraints& constraints) const;
 
-  /// Accurate verification for a single-event base pattern: the postings of
-  /// (base, candidate) are themselves the completions.
-  Result<ContinuationProposal> VerifySingleEventCandidate(
-      eventlog::ActivityId base, eventlog::ActivityId candidate,
+  /// Accurate verification (Algorithm 3) of exactly `candidates`, ranked:
+  /// the base pattern is detected once, then each candidate joins one more
+  /// pair. ContinueAccurate passes every follower, ContinueHybrid the Fast
+  /// top-k, ContinueAccurateAmong the requested followers.
+  Result<std::vector<ContinuationProposal>> VerifyContinuations(
+      const Pattern& pattern,
+      const std::vector<eventlog::ActivityId>& candidates,
       const ContinuationConstraints& constraints) const;
 
   const index::SequenceIndex* index_;

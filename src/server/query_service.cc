@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <thread>
 
 #include "common/histogram.h"
@@ -28,6 +29,24 @@ HttpResponse QueryError(const Status& status) {
     return HttpResponse::Error(504, status.ToString());
   }
   return HttpResponse::Error(400, status.ToString());
+}
+
+/// The raw accurate leg's `candidates=` list: comma-separated activity ids,
+/// empty for none. Anything that is not an id (empty field, sign, overflow)
+/// is rejected rather than skipped.
+Result<std::vector<eventlog::ActivityId>> ParseActivityIds(
+    const std::string& text) {
+  std::vector<eventlog::ActivityId> ids;
+  if (text.empty()) return ids;
+  for (const std::string& field : Split(text, ',')) {
+    int64_t v;
+    if (!ParseInt64(field, &v) || v < 0 ||
+        v > std::numeric_limits<eventlog::ActivityId>::max()) {
+      return Status::InvalidArgument("bad candidate id: '" + field + "'");
+    }
+    ids.push_back(static_cast<eventlog::ActivityId>(v));
+  }
+  return ids;
 }
 
 }  // namespace
@@ -527,7 +546,18 @@ HttpResponse QueryService::HandleContinue(const HttpRequest& request) const {
   if (request.query.count("raw") > 0) {
     // Shard-internal form for the router's merge (see HandleStats).
     if (mode == "accurate") {
-      auto proposals = qp_.ContinueAccurate(parsed->pattern);
+      // `candidates=<id>,<id>,...` limits verification to those followers:
+      // the router's hybrid leg asks for its merged Fast top-k only.
+      Result<std::vector<query::ContinuationProposal>> proposals =
+          Status::Internal("unset");
+      if (auto it = request.query.find("candidates");
+          it != request.query.end()) {
+        auto ids = ParseActivityIds(it->second);
+        if (!ids.ok()) return HttpResponse::Error(400, ids.status().ToString());
+        proposals = qp_.ContinueAccurateAmong(parsed->pattern, *ids);
+      } else {
+        proposals = qp_.ContinueAccurate(parsed->pattern);
+      }
       if (!proposals.ok()) return QueryError(proposals.status());
       JsonWriter json;
       json.BeginObject().Key("proposals").BeginArray();

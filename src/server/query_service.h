@@ -92,8 +92,11 @@ struct ServingStatsSnapshot {
 /// aggregates as integer sums (completions, duration sums, activity ids)
 /// instead of derived doubles, unlimited, so N such responses merge
 /// associatively and the router can recompute every double exactly as the
-/// single process would have. Not a public API; its shape may change with
-/// the router.
+/// single process would have. `mode=accurate&raw=1` also takes
+/// `candidates=<id>,<id>,...`: only those ids that follow the pattern's
+/// last event are verified (the router's hybrid top-k; an empty list
+/// verifies nothing, a field that is not an activity id is a 400). Not a
+/// public API; its shape may change with the router.
 ///
 /// The service borrows the index; both must outlive the HttpServer.
 class QueryService {

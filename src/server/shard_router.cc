@@ -826,9 +826,8 @@ HttpResponse ShardRouter::HandleContinue(const HttpRequest& request) {
 
   // Hybrid is assembled router-side from the two raw primitives, the same
   // two steps as QueryProcessor::ContinueHybrid: a merged Fast pass ranks
-  // every candidate, then an Accurate pass verifies the top-k. (The
-  // shards verify all candidates, not just k — the raw protocol has no
-  // candidate filter; DESIGN.md §15 notes the tradeoff.)
+  // every candidate, then an Accurate pass verifies the top-k — and only
+  // the top-k: the verify leg names them in `candidates=`.
   size_t topk = 5;
   if (auto it = request.query.find("topk"); it != request.query.end()) {
     int64_t v;
@@ -853,12 +852,17 @@ HttpResponse ShardRouter::HandleContinue(const HttpRequest& request) {
   }
   const size_t verify = std::min(topk, fast_proposals.size());
   std::unordered_set<int64_t> top_ids;
+  std::string candidates;
   for (size_t i = 0; i < verify; ++i) {
     top_ids.insert(static_cast<int64_t>(fast_proposals[i].activity));
+    if (i > 0) candidates += ',';
+    candidates += std::to_string(fast_proposals[i].activity);
   }
 
   std::vector<Result<HttpClient::Response>> accurate_legs =
-      Scatter("/continue?q=" + encoded_q + "&mode=accurate&raw=1", deadline);
+      Scatter("/continue?q=" + encoded_q + "&mode=accurate&raw=1&candidates=" +
+                  candidates,
+              deadline);
   FanIn accurate_fan = Triage(accurate_legs);
   if (accurate_fan.early.has_value()) return *std::move(accurate_fan.early);
   Result<std::map<int64_t, CandidateAgg>> accurate =
@@ -867,6 +871,8 @@ HttpResponse ShardRouter::HandleContinue(const HttpRequest& request) {
     return HttpResponse::Error(
         502, "shard merge failed: " + accurate.status().ToString());
   }
+  // Shards that predate the filter answer for every follower; keeping
+  // only the top-k here makes their bytes come out the same.
   std::map<int64_t, CandidateAgg> verified;
   for (const auto& [id, agg] : *accurate) {
     if (top_ids.count(id) > 0) verified.emplace(id, agg);

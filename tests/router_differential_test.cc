@@ -16,11 +16,16 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/strings.h"
+#include "common/sync.h"
 #include "datagen/generators.h"
 #include "gtest/gtest.h"
 #include "index/sequence_index.h"
@@ -138,6 +143,46 @@ struct Rig {
     EXPECT_TRUE(router_http->Start(0).ok());
   }
   ~Rig() { router_http->Stop(); }
+};
+
+/// A pass-through front for one worker that records the query of every
+/// /continue request it forwards, so a test can check what the router
+/// actually asks its shards.
+struct RecordingFront {
+  uint16_t backend;
+  Mutex mu;
+  std::vector<std::map<std::string, std::string>> continues GUARDED_BY(mu);
+  // Last, so its workers stop before the members they use are destroyed.
+  server::HttpServer http;
+
+  explicit RecordingFront(uint16_t backend_port) : backend(backend_port) {
+    http.Route("/continue", [this](const server::HttpRequest& request) {
+      {
+        MutexLock lock(mu);
+        continues.push_back(request.query);
+      }
+      std::string target = "/continue";
+      char sep = '?';
+      for (const auto& [key, value] : request.query) {
+        target += sep + server::HttpClient::UrlEncode(key) + "=" +
+                  server::HttpClient::UrlEncode(value);
+        sep = '&';
+      }
+      server::HttpClient client(backend);
+      auto response = client.Get(target);
+      if (!response.ok()) {
+        return server::HttpResponse::Error(502, response.status().ToString());
+      }
+      return server::HttpResponse{response->status, "application/json",
+                                  response->body, {}};
+    });
+    EXPECT_TRUE(http.Start(0).ok());
+  }
+
+  std::vector<std::map<std::string, std::string>> Take() REQUIRES(!mu) {
+    MutexLock lock(mu);
+    return std::exchange(continues, {});
+  }
 };
 
 struct GetResult {
@@ -329,20 +374,111 @@ TEST_P(RouterDifferentialTest, ContinueByteIdenticalAllModes) {
       std::max<size_t>(PatternsPerConfig() / 4, 100),
       log.dictionary().size(), seed ^ 2);
   const char* kModes[] = {"accurate", "fast", "hybrid"};
+  // Hybrid's topk drives the fast-rank-then-verify split, and the router
+  // sends the top-k ids to the shards' verify leg. Every fourth hybrid
+  // case each verifies one candidate, three, and every follower (the
+  // dictionary size bounds |followers|); the rest draw topk from 0-6 on a
+  // coin flip, where 0 falls back to the pure fast ranking on both sides.
+  const size_t all_followers = log.dictionary().size();
   for (size_t i = 0; i < patterns.size(); ++i) {
     std::string q = server::HttpClient::UrlEncode(
         PatternText(*rig.single.index, patterns[i]));
     std::string target =
         "/continue?q=" + q + "&mode=" + kModes[i % 3];
-    if (i % 3 == 2 && rng.NextBool()) {
-      // Hybrid's topk drives the fast-rank-then-verify split; 0 falls
-      // back to the pure fast ranking on both sides.
-      target += "&topk=" + std::to_string(rng.NextInRange(0, 6));
+    if (i % 3 == 2) {
+      switch (i / 3 % 4) {
+        case 0:
+          target += "&topk=1";
+          break;
+        case 1:
+          target += "&topk=3";
+          break;
+        case 2:
+          target += "&topk=" + std::to_string(all_followers);
+          break;
+        default:
+          if (rng.NextBool()) {
+            target += "&topk=" + std::to_string(rng.NextInRange(0, 6));
+          }
+      }
     }
     if (rng.NextBool(0.3)) {
       target += "&limit=" + std::to_string(rng.NextInRange(0, 8));
     }
     ExpectIdentical(rig, target, Describe(target, shards, seed));
+  }
+}
+
+TEST_P(RouterDifferentialTest, HybridVerifyLegCarriesTopK) {
+  const uint64_t seed = DiffSeed();
+  const size_t shards = GetParam();
+  EventLog log = DiffLog(seed);
+  Rig rig(log, shards);
+  // A second router over recording fronts of the same workers.
+  std::vector<std::unique_ptr<RecordingFront>> fronts;
+  server::RouterOptions options;
+  for (const auto& worker : rig.workers) {
+    fronts.push_back(std::make_unique<RecordingFront>(worker->http->port()));
+    options.shards.push_back(
+        server::ShardEndpoint{"127.0.0.1", fronts.back()->http.port()});
+  }
+  options.default_deadline_ms = 60000;
+  options.hedge_after_ms = 0;
+  server::ShardRouter router(options);
+  server::HttpServer router_http;
+  router.RegisterRoutes(&router_http);
+  ASSERT_TRUE(router_http.Start(0).ok());
+
+  query::QueryProcessor qp(rig.single.index.get());
+  for (const auto& p : RandomPatterns(20, log.dictionary().size(), seed ^ 3)) {
+    const std::string q =
+        server::HttpClient::UrlEncode(PatternText(*rig.single.index, p));
+    auto fast = qp.ContinueFast(query::Pattern(p));
+    ASSERT_TRUE(fast.ok()) << fast.status();
+    for (size_t topk : {size_t{1}, size_t{3}}) {
+      const std::string target =
+          "/continue?q=" + q + "&mode=hybrid&topk=" + std::to_string(topk);
+      GetResult routed = Get(router_http.port(), target);
+      EXPECT_EQ(routed.body, Get(rig.single.http->port(), target).body)
+          << Describe(target, shards, seed);
+      // Every shard's verify leg names exactly the merged Fast top-k.
+      std::set<std::string> want;
+      for (size_t i = 0; i < std::min(topk, fast->size()); ++i) {
+        want.insert(std::to_string((*fast)[i].activity));
+      }
+      for (auto& front : fronts) {
+        size_t verify_legs = 0;
+        for (const auto& query : front->Take()) {
+          if (auto mode = query.find("mode");
+              mode == query.end() || mode->second != "accurate") {
+            continue;
+          }
+          ++verify_legs;
+          auto it = query.find("candidates");
+          ASSERT_NE(it, query.end())
+              << "verify leg without a candidate filter: "
+              << Describe(target, shards, seed);
+          std::set<std::string> got;
+          if (!it->second.empty()) {
+            for (const std::string& id : Split(it->second, ',')) {
+              got.insert(id);
+            }
+          }
+          EXPECT_EQ(got, want) << Describe(target, shards, seed);
+        }
+        EXPECT_EQ(verify_legs, 1u) << Describe(target, shards, seed);
+      }
+    }
+  }
+  // Plain accurate mode still verifies every follower: no filter.
+  Get(router_http.port(), "/continue?q=" +
+                              server::HttpClient::UrlEncode(PatternText(
+                                  *rig.single.index, {ActivityId{0}})) +
+                              "&mode=accurate");
+  for (auto& front : fronts) {
+    for (const auto& query : front->Take()) {
+      EXPECT_EQ(query.count("candidates"), 0u);
+    }
   }
 }
 

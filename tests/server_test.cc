@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <thread>
 
@@ -18,6 +19,7 @@
 #include "query/query_processor.h"
 #include "server/http_client.h"
 #include "server/http_server.h"
+#include "server/json.h"
 #include "server/query_service.h"
 #include "storage/database.h"
 
@@ -580,6 +582,87 @@ TEST(QueryServiceTest, ContinueModes) {
             std::string::npos);
 }
 
+/// The raw accurate body `unfiltered` with only the proposals whose id is
+/// in `ids`, re-serialized in the shard's field order.
+std::string RestrictRawProposals(const std::string& unfiltered,
+                                 const std::set<int64_t>& ids) {
+  auto doc = JsonValue::Parse(unfiltered);
+  EXPECT_TRUE(doc.ok()) << unfiltered;
+  if (!doc.ok()) return {};
+  auto proposals = doc->GetArray("proposals");
+  EXPECT_TRUE(proposals.ok()) << unfiltered;
+  if (!proposals.ok()) return {};
+  JsonWriter json;
+  json.BeginObject().Key("proposals").BeginArray();
+  for (const JsonValue& p : **proposals) {
+    const int64_t id = p.GetInt("id").value_or(-1);
+    if (ids.count(id) == 0) continue;
+    json.BeginObject()
+        .Key("activity")
+        .String(p.GetString("activity").value_or("?"))
+        .Key("id")
+        .Int(id)
+        .Key("completions")
+        .Int(p.GetInt("completions").value_or(-1))
+        .Key("sum_duration")
+        .Int(p.GetInt("sum_duration").value_or(-1))
+        .EndObject();
+  }
+  json.EndArray().EndObject();
+  return json.str();
+}
+
+TEST(QueryServiceTest, RawAccurateCandidateFilter) {
+  ServiceFixture f;
+  const auto& dict = f.index->dictionary();
+  const int64_t cart = dict.Lookup("cart");
+  const int64_t checkout = dict.Lookup("checkout");
+  const int64_t search = dict.Lookup("search");
+  // One single-event base (postings are the completions) and one two-event
+  // base (base matches joined with one more pair).
+  for (const std::string q : {"search", "search+-%3E+cart"}) {
+    const std::string raw = "/continue?q=" + q + "&mode=accurate&raw=1";
+    const std::string unfiltered = BodyOf(HttpGet(f.server.port(), raw));
+    ASSERT_NE(unfiltered.find("\"proposals\":[{"), std::string::npos)
+        << unfiltered;
+    const std::string ids[] = {
+        std::to_string(checkout),
+        std::to_string(cart) + "," + std::to_string(checkout),
+        std::to_string(checkout) + "," + std::to_string(cart) + "," +
+            std::to_string(checkout)};
+    const std::set<int64_t> sets[] = {
+        {checkout}, {cart, checkout}, {cart, checkout}};
+    for (size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(BodyOf(HttpGet(f.server.port(), raw + "&candidates=" + ids[i])),
+                RestrictRawProposals(unfiltered, sets[i]))
+          << q << " candidates=" << ids[i];
+    }
+    // Ids that are not followers of the last event are dropped, including
+    // ids past the dictionary.
+    EXPECT_EQ(BodyOf(HttpGet(f.server.port(),
+                             raw + "&candidates=" + std::to_string(search) +
+                                 ",4294967295," + std::to_string(checkout))),
+              RestrictRawProposals(unfiltered, {checkout}))
+        << q;
+    EXPECT_EQ(BodyOf(HttpGet(f.server.port(),
+                             raw + "&candidates=" + std::to_string(search))),
+              "{\"proposals\":[]}")
+        << q;
+    // An empty list verifies nothing.
+    EXPECT_EQ(BodyOf(HttpGet(f.server.port(), raw + "&candidates=")),
+              "{\"proposals\":[]}")
+        << q;
+    // Malformed, negative or overflowing ids are rejected, not skipped.
+    for (const char* bad : {"x", "1,,2", "1,", ",1", "-1", "1.5", "1%3B2",
+                            "4294967296", "99999999999999999999999"}) {
+      EXPECT_NE(HttpGet(f.server.port(), raw + "&candidates=" + bad)
+                    .find("HTTP/1.1 400"),
+                std::string::npos)
+          << q << " candidates=" << bad;
+    }
+  }
+}
+
 TEST(QueryServiceTest, InfoIncludesServingStats) {
   ServiceFixture f;
   // Generate some traffic so the latency window is non-empty.
@@ -617,24 +700,28 @@ TEST(QueryServiceTest, AdmissionControlSheds503) {
   service.RegisterRoutes(&server);
   ASSERT_TRUE(server.Start(0).ok());
 
-  // Occupy the only in-flight slot with a sleeping request, then probe.
-  std::thread holder([&] {
+  // Occupy the only in-flight slot with a sleeping request. Nothing else
+  // is sent until the service's gauge shows it admitted: a probe racing
+  // the holder through its own connection could take the slot first and
+  // get the holder shed instead. The jthread joins on every exit path, so
+  // a failed assertion cannot leave it joinable.
+  std::jthread holder([&] {
     HttpClient client(server.port());
-    auto response = client.Get("/debug/sleep?ms=2000&deadline_ms=400");
-    EXPECT_TRUE(response.ok());
+    auto response = client.Get("/debug/sleep?ms=1500");
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->status, 200);
   });
-  HttpClient probe(server.port());
-  Result<HttpClient::Response> shed = Status::Internal("unset");
-  // Poll until the holder's request actually occupies the slot (the two
-  // requests race through independent connections).
-  for (int i = 0; i < 200; ++i) {
-    shed = probe.Get("/detect?q=search+-%3E+cart");
-    ASSERT_TRUE(shed.ok()) << shed.status().ToString();
-    if (shed->status == 503) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  Stopwatch wait;
+  while (service.serving_stats().inflight < 1 && wait.ElapsedMillis() < 10000) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_EQ(shed->status, 503);
-  EXPECT_EQ(shed->headers.at("retry-after"), "7");
+  ASSERT_EQ(service.serving_stats().inflight, 1) << "holder never admitted";
+
+  HttpClient probe(server.port());
+  auto shed = probe.Get("/detect?q=search+-%3E+cart");
+  ASSERT_TRUE(shed.ok()) << shed.status().ToString();
+  EXPECT_EQ(shed->status, 503);
+  EXPECT_EQ(shed->headers["retry-after"], "7");
   holder.join();
 
   // Slot free again: the same query is admitted now.
