@@ -1,11 +1,12 @@
 // Demonstrates that background auto-fold reaches folded-format query
-// latency without anyone running `seqdet fold`: the same skewed workload
-// as bench_posting_blocks is ingested in batches three ways —
+// latency without anyone running `seqdet fold`: one skewed workload (see
+// SkewedLog below) is ingested in batches three ways —
 //
 //   no_fold     ingest only; queries read the fragment piles
 //   auto_fold   ingest with the maintenance service on; after the service
 //               quiesces (WaitIdle), queries read what *it* folded
-//   manual_fold ingest, then an explicit FoldPostings() (the old workflow)
+//   manual_fold ingest, then an explicit FoldPostingsIncremental() (what
+//               `seqdet fold` runs)
 //
 // and the trace-selective query latency of auto_fold must land on
 // manual_fold's, far below no_fold's. Emits BENCH_maintenance.json.
@@ -34,9 +35,9 @@ std::string ActName(const char* prefix, size_t i) {
   return name;
 }
 
-// Same shape as bench_posting_blocks: hot pairs in every trace, each rare
-// activity confined to one narrow trace-id band, so folded block headers
-// let rare-anchored queries skip almost everything.
+// Hot pairs in every trace, each rare activity confined to one narrow
+// trace-id band, so folded block headers let rare-anchored queries skip
+// almost everything.
 eventlog::EventLog SkewedLog(size_t traces, uint64_t seed) {
   eventlog::EventLog log;
   Rng rng(seed);
@@ -86,8 +87,8 @@ struct ModeResult {
   uint64_t service_keys_folded = 0;
 };
 
-// Same rare-anchored workload as bench_posting_blocks: each query starts at
-// one narrow-band rare activity, then joins against two hot pair lists.
+// Rare-anchored queries: each starts at one narrow-band rare activity,
+// then joins against two hot pair lists.
 std::vector<query::Pattern> RareQueries(const index::SequenceIndex& index) {
   std::vector<query::Pattern> queries;
   auto id = [&](const std::string& name) {
@@ -137,7 +138,7 @@ ModeResult RunMode(const std::string& name,
       std::abort();
     }
   } else if (manual_fold) {
-    Status folded = index->FoldPostings();
+    Status folded = index->FoldPostingsIncremental();
     if (!folded.ok()) std::abort();
   }
   result.settle_seconds = settle.ElapsedSeconds();

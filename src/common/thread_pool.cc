@@ -40,8 +40,10 @@ void ThreadPool::WorkerLoop() {
       task = std::move(tasks_.front());
       tasks_.pop();
     }
-    task();
+    // Counted before the run: the task makes its future ready, and a
+    // caller woken by that future must already see it in stats().
     tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+    task();
   }
   t_worker_pool = nullptr;
 }

@@ -77,11 +77,6 @@ struct MaintenanceStats {
 /// commit is atomic (Kv::RewriteValue), so cycles run concurrently with
 /// Update()/Detect()/DetectBatch(); Stop() quiesces by finishing the
 /// in-flight key and aborting the rest of the pass via the pace callback.
-///
-/// The service never runs the v1 -> v2 format upgrade (that rewires the
-/// decode path and must not race reads); on a v1 index cycles do
-/// format-preserving sorted-flat folds and the upgrade stays an explicit
-/// FoldPostings() / `seqdet fold` call.
 class MaintenanceService {
  public:
   /// The index must outlive the service. The constructor does not start

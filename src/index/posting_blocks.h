@@ -11,7 +11,7 @@
 
 namespace seqdet::index {
 
-/// v2 posting-list value format: a concatenation of self-describing blocks.
+/// Posting-list value format: a concatenation of self-describing blocks.
 ///
 ///   value  := block*
 ///   block  := header payload
@@ -34,7 +34,8 @@ namespace seqdet::index {
 ///
 /// Append fragments written by Update() are themselves one (or more)
 /// blocks, so a stored value is *always* a valid block sequence; only the
-/// global sort across blocks is re-established by FoldPostings(), which
+/// global sort across blocks is re-established by folding (see
+/// SequenceIndex::FoldPostingsIncremental), which
 /// rewrites a fragment pile into globally sorted blocks of
 /// ~target_block_bytes payload each.
 

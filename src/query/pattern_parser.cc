@@ -152,11 +152,14 @@ Result<PatternElement> ParseElement(Tokenizer& tokens,
       SEQDET_ASSIGN_OR_RETURN(eventlog::ActivityId id,
                               ResolveName(name, dictionary));
       element.alternatives.push_back(id);
-      SEQDET_ASSIGN_OR_RETURN(Token sep, tokens.Next());
-      if (sep.punct && sep.text == ")") break;
-      if (!sep.punct || sep.text != "|") {
+      // Read through the Result instead of moving the Token out: g++ 12
+      // reports a false -Wmaybe-uninitialized on the moved-out copy.
+      Result<Token> sep = tokens.Next();
+      if (!sep.ok()) return sep.status();
+      if (sep->punct && sep->text == ")") break;
+      if (!sep->punct || sep->text != "|") {
         return Status::InvalidArgument("expected '|' or ')' in group, got '" +
-                                       sep.text + "'");
+                                       sep->text + "'");
       }
     }
   } else {

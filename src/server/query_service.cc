@@ -302,8 +302,6 @@ HttpResponse QueryService::HandleInfo(const HttpRequest&) const {
       .Int(static_cast<int64_t>(index_->num_periods()))
       .Key("activities")
       .Int(static_cast<int64_t>(index_->dictionary().size()))
-      .Key("posting_format")
-      .Int(static_cast<int64_t>(index_->posting_format()))
       .Key("cache")
       .BeginObject()
       .Key("capacity_bytes")

@@ -77,8 +77,8 @@ struct ServingStatsSnapshot {
 /// query/pattern_parser.h, URL-encoded in `q`):
 ///   /health                               liveness probe (never gated)
 ///   /info                                 policy, periods, activity count,
-///                                         posting format, read-cache /
-///                                         decode / maintenance stats, and
+///                                         read-cache / decode /
+///                                         maintenance stats, and
 ///                                         the serving stats (per-route
 ///                                         requests, in-flight, shed,
 ///                                         timeouts, p50/p99 latency,

@@ -24,7 +24,7 @@ constexpr char kTagPostingFor = 1;
 // per-group per-column header (varint min + width byte).
 constexpr size_t kForGroupSize = 128;
 
-// One decoded posting block, in the storage-side mirror of the v2 posting
+// One decoded posting block, in the storage-side mirror of the posting
 // value format. The wire layout is owned by index/posting_blocks.h; this
 // file re-implements the triple parse because storage must not depend on
 // index (tests/segment_v2_test.cc pins the two in sync).
@@ -41,7 +41,7 @@ struct PostingBlock {
   std::vector<uint64_t> duration;
 };
 
-// Strictly parses `value` as a v2 posting-block sequence. False when the
+// Strictly parses `value` as a posting-block sequence. False when the
 // bytes are anything else (then the value is stored raw).
 bool ParsePostingValue(std::string_view value,
                        std::vector<PostingBlock>* blocks) {

@@ -12,7 +12,7 @@ namespace seqdet::storage {
 /// The codec id is recorded per block in the segment index footer:
 ///  - kRaw:        block plaintext stored as-is, values verbatim.
 ///  - kPostingFor: values inside the block carry a 1-byte tag; values that
-///                 parse as v2 posting-block sequences are transcoded to a
+///                 parse as posting-block sequences are transcoded to a
 ///                 frame-of-reference bitpacked-delta layout, everything
 ///                 else stays raw behind tag 0. The block framing itself
 ///                 (prefix-compressed keys, restarts) is unchanged.
@@ -28,7 +28,7 @@ enum class BlockCodec : uint8_t {
 
 /// Per-value transcode of codec kPostingFor. Appends a tagged encoding of
 /// `value` to `*out`: tag 1 + FOR-compressed posting blocks when `value`
-/// strictly parses as a v2 posting-block sequence AND the transcode
+/// strictly parses as a posting-block sequence AND the transcode
 /// round-trips byte-exactly (verified at build time), else tag 0 + the
 /// original bytes. Never fails.
 void TranscodePostingValue(std::string_view value, std::string* out);

@@ -7,7 +7,7 @@
 // the pair sets exactly as Algorithm 2 does — a match whose last timestamp
 // equals a posting's first timestamp extends by the posting's second. Any
 // disagreement therefore implicates the index pipeline (extraction ->
-// storage -> fold/upgrade -> decode -> join), not the oracle.
+// storage -> fold -> decode -> join), not the oracle.
 //
 // Every configuration runs >= 1000 seeded random patterns (override with
 // SEQDET_DIFF_PATTERNS) over a seeded random log. On failure the assert
@@ -87,7 +87,7 @@ struct Fixture {
   std::unique_ptr<storage::Database> db;
   std::unique_ptr<SequenceIndex> index;
 
-  Fixture(const EventLog& log, Policy policy, uint32_t posting_format,
+  Fixture(const EventLog& log, Policy policy,
           size_t cache_bytes = 8u << 20) {
     storage::DbOptions db_options;
     db_options.table.in_memory = true;
@@ -96,7 +96,6 @@ struct Fixture {
     IndexOptions options;
     options.policy = policy;
     options.num_threads = 1;
-    options.posting_format = posting_format;
     options.cache_bytes = cache_bytes;
     // Small blocks so folded lists span many blocks and the trace-selective
     // skip path actually skips.
@@ -258,7 +257,7 @@ void ExpectAgreement(const Fixture& f, const Oracle& oracle,
 }
 
 // ---------------------------------------------------------------------------
-// v2 (blocked) format: pre-fold, post-fold, warm cache
+// Pre-fold, post-fold, warm cache
 // ---------------------------------------------------------------------------
 
 class DifferentialTest : public ::testing::TestWithParam<Policy> {};
@@ -266,42 +265,22 @@ class DifferentialTest : public ::testing::TestWithParam<Policy> {};
 TEST_P(DifferentialTest, BlockedFormatPreAndPostFold) {
   const uint64_t seed = DiffSeed();
   EventLog log = DiffLog(seed);
-  Fixture f(log, GetParam(), index::kPostingFormatBlocked);
+  Fixture f(log, GetParam());
   Oracle oracle(&log, GetParam());
   auto patterns =
       RandomPatterns(PatternsPerConfig(), f.index->dictionary().size(), seed);
 
   ExpectAgreement(f, oracle, patterns, seed, "pre-fold");
-  ASSERT_TRUE(f.index->FoldPostings().ok());
+  ASSERT_TRUE(f.index->FoldPostingsIncremental().ok());
   ExpectAgreement(f, oracle, patterns, seed, "post-fold");
   // Third pass hits the now-populated read cache.
   ExpectAgreement(f, oracle, patterns, seed, "warm-cache");
 }
 
-TEST_P(DifferentialTest, FlatFormatFoldAndUpgrade) {
-  const uint64_t seed = DiffSeed();
-  EventLog log = DiffLog(seed);
-  Fixture f(log, GetParam(), index::kPostingFormatFlat);
-  Oracle oracle(&log, GetParam());
-  auto patterns =
-      RandomPatterns(PatternsPerConfig(), f.index->dictionary().size(), seed);
-
-  ASSERT_EQ(f.index->posting_format(), index::kPostingFormatFlat);
-  ExpectAgreement(f, oracle, patterns, seed, "v1-pre-fold");
-  // Incremental fold is format-preserving: still v1, values now sorted.
-  ASSERT_TRUE(f.index->FoldPostingsIncremental().ok());
-  ASSERT_EQ(f.index->posting_format(), index::kPostingFormatFlat);
-  ExpectAgreement(f, oracle, patterns, seed, "v1-post-fold");
-  // FoldPostings on a v1 index is the upgrade to v2 blocks.
-  ASSERT_TRUE(f.index->FoldPostings().ok());
-  ASSERT_EQ(f.index->posting_format(), index::kPostingFormatBlocked);
-  ExpectAgreement(f, oracle, patterns, seed, "post-upgrade");
-}
-
 TEST_P(DifferentialTest, MidFoldStateAgrees) {
   const uint64_t seed = DiffSeed();
   EventLog log = DiffLog(seed);
-  Fixture f(log, GetParam(), index::kPostingFormatBlocked);
+  Fixture f(log, GetParam());
   Oracle oracle(&log, GetParam());
   auto patterns =
       RandomPatterns(PatternsPerConfig(), f.index->dictionary().size(), seed);
@@ -339,10 +318,8 @@ INSTANTIATE_TEST_SUITE_P(Policies, DifferentialTest,
 TEST(DifferentialCacheTest, ColdWarmAndUncachedAgree) {
   const uint64_t seed = DiffSeed();
   EventLog log = DiffLog(seed);
-  Fixture cached(log, Policy::kSkipTillNextMatch,
-                 index::kPostingFormatBlocked);
-  Fixture uncached(log, Policy::kSkipTillNextMatch,
-                   index::kPostingFormatBlocked, /*cache_bytes=*/0);
+  Fixture cached(log, Policy::kSkipTillNextMatch);
+  Fixture uncached(log, Policy::kSkipTillNextMatch, /*cache_bytes=*/0);
   Oracle oracle(&log, Policy::kSkipTillNextMatch);
   auto patterns = RandomPatterns(PatternsPerConfig(),
                                  cached.index->dictionary().size(), seed);
@@ -361,7 +338,7 @@ TEST(DifferentialCacheTest, ColdWarmAndUncachedAgree) {
 TEST(DifferentialConstraintTest, GapAndSpanConstraintsAgree) {
   const uint64_t seed = DiffSeed();
   EventLog log = DiffLog(seed);
-  Fixture f(log, Policy::kSkipTillNextMatch, index::kPostingFormatBlocked);
+  Fixture f(log, Policy::kSkipTillNextMatch);
   Oracle oracle(&log, Policy::kSkipTillNextMatch);
   auto patterns = RandomPatterns(PatternsPerConfig(),
                                  f.index->dictionary().size(), seed);
@@ -384,7 +361,7 @@ TEST(DifferentialConstraintTest, GapAndSpanConstraintsAgree) {
 TEST(DifferentialBatchTest, DetectBatchAgreesWithOracle) {
   const uint64_t seed = DiffSeed();
   EventLog log = DiffLog(seed);
-  Fixture f(log, Policy::kSkipTillNextMatch, index::kPostingFormatBlocked);
+  Fixture f(log, Policy::kSkipTillNextMatch);
   Oracle oracle(&log, Policy::kSkipTillNextMatch);
   auto raw = RandomPatterns(PatternsPerConfig(),
                             f.index->dictionary().size(), seed);
@@ -409,7 +386,7 @@ TEST(DifferentialBatchTest, DetectBatchAgreesWithOracle) {
 TEST(DifferentialParallelTest, DeadlineBehaviorMatchesSerial) {
   const uint64_t seed = DiffSeed();
   EventLog log = DiffLog(seed);
-  Fixture f(log, Policy::kSkipTillNextMatch, index::kPostingFormatBlocked);
+  Fixture f(log, Policy::kSkipTillNextMatch);
   QueryProcessor serial(f.index.get());
   ThreadPool pool(4);
   QueryProcessor parallel(f.index.get(), &pool, TinyMorsels());
@@ -457,7 +434,7 @@ std::string DetectTarget(const SequenceIndex& index,
 TEST(DifferentialHttpTest, HttpDetectMatchesInProcessByteForByte) {
   const uint64_t seed = DiffSeed();
   EventLog log = DiffLog(seed);
-  Fixture f(log, Policy::kSkipTillNextMatch, index::kPostingFormatBlocked);
+  Fixture f(log, Policy::kSkipTillNextMatch);
 
   server::QueryService service(f.index.get());
   server::HttpServer http;
@@ -500,7 +477,6 @@ TEST(DifferentialHttpTest, HttpDetectAgreesUnderConcurrentAutoFold) {
   IndexOptions options;
   options.policy = Policy::kSkipTillNextMatch;
   options.num_threads = 1;
-  options.posting_format = index::kPostingFormatBlocked;
   options.cache_bytes = 1u << 20;
   options.posting_block_bytes = 96;
   options.maintenance.auto_fold = true;
@@ -662,14 +638,14 @@ class ExtendedDifferentialTest : public ::testing::TestWithParam<Policy> {};
 TEST_P(ExtendedDifferentialTest, ExtendedBlockedPreAndPostFold) {
   const uint64_t seed = DiffSeed();
   EventLog log = DiffLog(seed);
-  Fixture f(log, GetParam(), index::kPostingFormatBlocked);
+  Fixture f(log, GetParam());
   auto patterns = RandomExtendedPatterns(PatternsPerConfig(),
                                          f.index->dictionary().size(), seed);
 
   baseline::SasePairCache cache;
   ExpectExtendedAgreement(f, log, GetParam(), patterns, seed, "pre-fold",
                           &cache);
-  ASSERT_TRUE(f.index->FoldPostings().ok());
+  ASSERT_TRUE(f.index->FoldPostingsIncremental().ok());
   ExpectExtendedAgreement(f, log, GetParam(), patterns, seed, "post-fold",
                           &cache);
   // Third pass hits the now-populated read cache.
@@ -677,31 +653,10 @@ TEST_P(ExtendedDifferentialTest, ExtendedBlockedPreAndPostFold) {
                           &cache);
 }
 
-TEST_P(ExtendedDifferentialTest, ExtendedFlatFoldAndUpgrade) {
-  const uint64_t seed = DiffSeed();
-  EventLog log = DiffLog(seed);
-  Fixture f(log, GetParam(), index::kPostingFormatFlat);
-  auto patterns = RandomExtendedPatterns(PatternsPerConfig(),
-                                         f.index->dictionary().size(), seed);
-
-  baseline::SasePairCache cache;
-  ASSERT_EQ(f.index->posting_format(), index::kPostingFormatFlat);
-  ExpectExtendedAgreement(f, log, GetParam(), patterns, seed, "v1-pre-fold",
-                          &cache);
-  ASSERT_TRUE(f.index->FoldPostingsIncremental().ok());
-  ASSERT_EQ(f.index->posting_format(), index::kPostingFormatFlat);
-  ExpectExtendedAgreement(f, log, GetParam(), patterns, seed, "v1-post-fold",
-                          &cache);
-  ASSERT_TRUE(f.index->FoldPostings().ok());
-  ASSERT_EQ(f.index->posting_format(), index::kPostingFormatBlocked);
-  ExpectExtendedAgreement(f, log, GetParam(), patterns, seed, "post-upgrade",
-                          &cache);
-}
-
 TEST_P(ExtendedDifferentialTest, ExtendedMidFoldStateAgrees) {
   const uint64_t seed = DiffSeed();
   EventLog log = DiffLog(seed);
-  Fixture f(log, GetParam(), index::kPostingFormatBlocked);
+  Fixture f(log, GetParam());
   auto patterns = RandomExtendedPatterns(PatternsPerConfig(),
                                          f.index->dictionary().size(), seed);
 
@@ -734,7 +689,7 @@ INSTANTIATE_TEST_SUITE_P(Policies, ExtendedDifferentialTest,
 TEST(ExtendedDifferentialTest, ExtendedComplianceTemplatesAgree) {
   const uint64_t seed = DiffSeed();
   EventLog log = DiffLog(seed);
-  Fixture f(log, Policy::kSkipTillNextMatch, index::kPostingFormatBlocked);
+  Fixture f(log, Policy::kSkipTillNextMatch);
   const ActivityId n =
       static_cast<ActivityId>(f.index->dictionary().size());
 
@@ -761,7 +716,7 @@ TEST(ExtendedDifferentialTest, ExtendedComplianceTemplatesAgree) {
 TEST(ExtendedDifferentialTest, ExtendedHttpMatchesInProcessByteForByte) {
   const uint64_t seed = DiffSeed();
   EventLog log = DiffLog(seed);
-  Fixture f(log, Policy::kSkipTillNextMatch, index::kPostingFormatBlocked);
+  Fixture f(log, Policy::kSkipTillNextMatch);
 
   server::QueryService service(f.index.get());
   server::HttpServer http;

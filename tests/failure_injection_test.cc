@@ -109,6 +109,20 @@ TEST(FailureInjectionTest, CorruptSegmentMagicDetected) {
   auto db = Database::Open(dir.str());
   ASSERT_FALSE(db.ok());
   EXPECT_TRUE(db.status().IsCorruption());
+  // The retired flat format's magic asks for a rebuild instead, naming
+  // the file.
+  {
+    std::fstream f(segment, std::ios::in | std::ios::out | std::ios::binary);
+    f.write("SDSEG1", 6);
+  }
+  db = Database::Open(dir.str());
+  ASSERT_FALSE(db.ok());
+  EXPECT_TRUE(db.status().IsUnsupported()) << db.status();
+  EXPECT_NE(db.status().message().find(segment.filename().string()),
+            std::string::npos)
+      << db.status();
+  EXPECT_NE(db.status().message().find("rebuild"), std::string::npos)
+      << db.status();
 }
 
 TEST(FailureInjectionTest, TruncatedSegmentDetected) {
@@ -204,6 +218,49 @@ TEST(FailureInjectionTest, CorruptIndexMetaSurfacesError) {
     auto index = index::SequenceIndex::Open(db->get(), options);
     EXPECT_FALSE(index.ok());
   }
+}
+
+TEST(FailureInjectionTest, RetiredFormatMetaRequiresRebuild) {
+  TempDir dir;
+  {
+    auto db = Database::Open(dir.str());
+    index::IndexOptions options;
+    options.num_threads = 1;
+    auto index = index::SequenceIndex::Open(db->get(), options);
+    ASSERT_TRUE(index.ok());
+    eventlog::EventLog log;
+    log.Append(1, "A", 1);
+    log.Append(1, "B", 2);
+    ASSERT_TRUE((*index)->Update(log).ok());
+    ASSERT_TRUE((*index)->Flush().ok());
+  }
+  auto db = Database::Open(dir.str());
+  ASSERT_TRUE(db.ok());
+  storage::Table* meta = (*db)->GetTable("meta");
+  ASSERT_NE(meta, nullptr);
+  index::IndexOptions options;
+  options.num_threads = 1;
+  auto expect_rebuild = [&](const char* what) {
+    auto index = index::SequenceIndex::Open(db->get(), options);
+    ASSERT_FALSE(index.ok()) << what;
+    EXPECT_TRUE(index.status().IsUnsupported()) << what << ": "
+                                                << index.status();
+    EXPECT_NE(index.status().message().find("rebuild"), std::string::npos)
+        << index.status();
+  };
+  // The retired flat posting format.
+  ASSERT_TRUE(meta->Put("posting_format", std::string(1, '\x01')).ok());
+  expect_rebuild("posting_format = 1");
+  // An index from before the format stamp existed.
+  ASSERT_TRUE(meta->Delete("posting_format").ok());
+  expect_rebuild("no posting_format");
+  // A leftover marker of an interrupted flat-to-blocked upgrade.
+  ASSERT_TRUE(meta->Put("posting_format", std::string(1, '\x02')).ok());
+  ASSERT_TRUE(meta->Put("posting_upgrade", "1").ok());
+  expect_rebuild("posting_upgrade present");
+  // With the stamp intact the index opens again.
+  ASSERT_TRUE(meta->Delete("posting_upgrade").ok());
+  EXPECT_TRUE(index::SequenceIndex::Open(db->get(), options).ok());
 }
 
 TEST(FailureInjectionTest, StaleWalAfterFlushCrashIsNotReplayed) {
@@ -305,7 +362,7 @@ TEST(FailureInjectionTest, UnwritableDirectoryReported) {
 }
 
 // ---------------------------------------------------------------------------
-// Fold crash safety: a fold/upgrade interrupted at any per-key commit
+// Fold crash safety: a fold interrupted at any per-key commit
 // boundary (clean abort via the pace callback, or a hard SIGKILL) must
 // leave an index that reopens, passes CheckConsistency, and answers
 // queries identically to a pristine index built from the same log.
@@ -340,14 +397,13 @@ std::vector<std::vector<index::PairOccurrence>> AllPairPostings(
 
 /// Pristine reference: the same log indexed into a fresh in-memory index.
 std::vector<std::vector<index::PairOccurrence>> ReferencePostings(
-    const eventlog::EventLog& log, uint32_t posting_format) {
+    const eventlog::EventLog& log) {
   storage::DbOptions db_options;
   db_options.table.in_memory = true;
   db_options.table.use_wal = false;
   auto db = std::move(Database::Open("", db_options)).value();
   index::IndexOptions options;
   options.num_threads = 1;
-  options.posting_format = posting_format;
   auto index = std::move(index::SequenceIndex::Open(db.get(), options))
                    .value();
   EXPECT_TRUE(index->Update(log).ok());
@@ -357,7 +413,7 @@ std::vector<std::vector<index::PairOccurrence>> ReferencePostings(
 TEST(FoldCrashTest, AbortedIncrementalFoldReopensConsistent) {
   TempDir dir;
   eventlog::EventLog log = FoldCrashLog();
-  auto reference = ReferencePostings(log, index::kPostingFormatBlocked);
+  auto reference = ReferencePostings(log);
   {
     auto db = Database::Open(dir.str());
     ASSERT_TRUE(db.ok());
@@ -395,54 +451,10 @@ TEST(FoldCrashTest, AbortedIncrementalFoldReopensConsistent) {
   EXPECT_EQ(AllPairPostings(index->get()), reference);
 }
 
-TEST(FoldCrashTest, AbortedUpgradeRollsForwardOnReopen) {
-  TempDir dir;
-  eventlog::EventLog log = FoldCrashLog();
-  auto reference = ReferencePostings(log, index::kPostingFormatFlat);
-  {
-    auto db = Database::Open(dir.str());
-    ASSERT_TRUE(db.ok());
-    index::IndexOptions options;
-    options.num_threads = 1;
-    options.posting_format = index::kPostingFormatFlat;
-    auto index = index::SequenceIndex::Open(db->get(), options);
-    ASSERT_TRUE(index.ok());
-    ASSERT_TRUE((*index)->Update(log).ok());
-    ASSERT_TRUE((*index)->Flush().ok());
-    // Abort the v1 -> v2 upgrade mid-pass: the durable posting_upgrade
-    // marker is down, some values are v2, the persisted format still v1.
-    index::FoldStats stats;
-    Status aborted = (*index)->FoldPostings(
-        &stats, [](const index::FoldStats& fs) {
-          return fs.keys_folded >= 5 ? Status::Aborted("injected crash")
-                                     : Status::OK();
-        });
-    ASSERT_TRUE(aborted.IsAborted()) << aborted;
-    EXPECT_EQ((*index)->posting_format(), index::kPostingFormatFlat);
-  }
-  // Reopen: OpenTables sees the marker and rolls the upgrade forward.
-  auto db = Database::Open(dir.str());
-  ASSERT_TRUE(db.ok()) << db.status();
-  index::IndexOptions options;
-  options.num_threads = 1;
-  auto index = index::SequenceIndex::Open(db->get(), options);
-  ASSERT_TRUE(index.ok()) << index.status();
-  EXPECT_EQ((*index)->posting_format(), index::kPostingFormatBlocked);
-  auto report = (*index)->CheckConsistency();
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report->ok()) << report->violations.front();
-  EXPECT_EQ(AllPairPostings(index->get()), reference);
-  // The marker must be cleared — a second reopen runs no upgrade pass.
-  std::string marker;
-  EXPECT_TRUE((*db)->GetTable("meta")
-                  ->Get("posting_upgrade", &marker)
-                  .IsNotFound());
-}
-
 TEST(FoldCrashTest, SigkillMidFoldReopensConsistent) {
   TempDir dir;
   eventlog::EventLog log = FoldCrashLog();
-  auto reference = ReferencePostings(log, index::kPostingFormatBlocked);
+  auto reference = ReferencePostings(log);
   // Build the fragmented on-disk index in the parent (deterministic), then
   // let a child process die by SIGKILL in the middle of a fold pass — no
   // destructors, no flush, exactly a power-cut at a commit boundary.

@@ -1,12 +1,12 @@
-// Tests of the v2 block-structured posting-list format: encode/decode
+// Tests of the block-structured posting-list format: encode/decode
 // round trips, header parsing, trace-interval pruning machinery,
-// corruption behavior of every value decoder, the v1 -> v2 fold/upgrade
-// path, and the selectivity-filtered read path.
+// corruption behavior of every value decoder, the fold path, and the
+// selectivity-filtered read path.
 
 #include <algorithm>
-#include <filesystem>
 #include <limits>
 
+#include "baselines/sase/sase_engine.h"
 #include "common/rng.h"
 #include "gtest/gtest.h"
 #include "index/index_tables.h"
@@ -126,20 +126,6 @@ TEST(PostingBlocksTest, CorruptedBlockedValueClearsOutput) {
   EXPECT_TRUE(decoded.empty());
 }
 
-TEST(PairIndexTableTest, CorruptedFlatValueClearsOutput) {
-  // A valid posting followed by a truncated one: the decoder used to leave
-  // the first posting in *out on failure; callers must never observe a
-  // partially decoded list.
-  std::string value;
-  PairIndexTable::EncodePosting(PairOccurrence{1, 2, 3}, &value);
-  std::string second;
-  PairIndexTable::EncodePosting(PairOccurrence{4, 5, 6}, &second);
-  value.append(second.substr(0, second.size() - 1));
-  std::vector<PairOccurrence> decoded;
-  EXPECT_FALSE(PairIndexTable::DecodePostings(value, &decoded));
-  EXPECT_TRUE(decoded.empty());
-}
-
 TEST(SeqTableTest, CorruptedEventsClearOutput) {
   std::string value;
   SeqTable::EncodeEvents({{1, 10}, {2, 20}}, &value);
@@ -151,8 +137,7 @@ TEST(SeqTableTest, CorruptedEventsClearOutput) {
 
 TEST(PairIndexTableTest, CorruptedStoredValueSurfacesAsCorruption) {
   auto db = InMemoryDb();
-  PairIndexTable index(*db->GetOrCreateTable("index"),
-                       kPostingFormatBlocked);
+  PairIndexTable index(*db->GetOrCreateTable("index"));
   EventTypePair pair{1, 2};
   ASSERT_TRUE(index.table()
                   ->Put(PairIndexTable::EncodeKey(pair), "\x07garbage")
@@ -203,7 +188,7 @@ TEST(TraceIntervalSetTest, AllIsUnbounded) {
 }
 
 // ---------------------------------------------------------------------------
-// Index-level: fold, upgrade, filtered reads
+// Index-level: fold, filtered reads
 // ---------------------------------------------------------------------------
 
 EventLog SkewedLog(size_t traces) {
@@ -226,7 +211,11 @@ TEST(PostingFormatTest, FreshIndexDefaultsToBlocked) {
   auto db = InMemoryDb();
   auto index = SequenceIndex::Open(db.get(), SingleThreaded());
   ASSERT_TRUE(index.ok());
-  EXPECT_EQ((*index)->posting_format(), kPostingFormatBlocked);
+  // The on-disk format stamp: varint 2 under meta `posting_format`.
+  std::string stamp;
+  ASSERT_TRUE((*db->GetOrCreateTable("meta"))->Get("posting_format", &stamp)
+                  .ok());
+  EXPECT_EQ(stamp, std::string(1, '\x02'));
 }
 
 TEST(PostingFormatTest, FoldedIndexStaysConsistent) {
@@ -244,7 +233,7 @@ TEST(PostingFormatTest, FoldedIndexStaysConsistent) {
   auto before = qp.Detect(ab);
   ASSERT_TRUE(before.ok());
 
-  ASSERT_TRUE((*index)->FoldPostings().ok());
+  ASSERT_TRUE((*index)->FoldPostingsIncremental().ok());
   auto report = (*index)->CheckConsistency();
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->ok()) << report->violations.front();
@@ -265,7 +254,7 @@ TEST(PostingFormatTest, FilteredReadEquivalence) {
   ASSERT_TRUE(index.ok());
   EventLog log = SkewedLog(300);
   ASSERT_TRUE((*index)->Update(log).ok());
-  ASSERT_TRUE((*index)->FoldPostings().ok());
+  ASSERT_TRUE((*index)->FoldPostingsIncremental().ok());
 
   eventlog::ActivityId a = (*index)->dictionary().Lookup("A");
   eventlog::ActivityId b = (*index)->dictionary().Lookup("B");
@@ -297,38 +286,38 @@ TEST(PostingFormatTest, FilteredReadEquivalence) {
 }
 
 TEST(PostingFormatTest, SelectiveDetectMatchesUnprunedResults) {
-  // The same skewed log under both formats: the pruned v2 join must return
-  // exactly what the v1 full-scan join returns.
+  // The pruned join over folded multi-block values must return exactly the
+  // pair-composed match set the SASE oracle computes from the raw log.
   EventLog log = SkewedLog(256);
-  auto build = [&log](uint32_t format, std::unique_ptr<storage::Database>* db)
-      -> std::unique_ptr<SequenceIndex> {
-    *db = InMemoryDb();
-    IndexOptions options;
-    options.num_threads = 1;
-    options.posting_format = format;
-    options.posting_block_bytes = 64;
-    auto index = SequenceIndex::Open(db->get(), options);
-    EXPECT_TRUE(index.ok());
-    EXPECT_TRUE((*index)->Update(log).ok());
-    return std::move(index).value();
-  };
-  std::unique_ptr<storage::Database> db1, db2;
-  auto v1 = build(kPostingFormatFlat, &db1);
-  auto v2 = build(kPostingFormatBlocked, &db2);
-  ASSERT_TRUE(v2->FoldPostings().ok());
+  auto db = InMemoryDb();
+  IndexOptions options = SingleThreaded();
+  options.posting_block_bytes = 64;
+  auto index = SequenceIndex::Open(db.get(), options);
+  ASSERT_TRUE(index.ok());
+  ASSERT_TRUE((*index)->Update(log).ok());
+  ASSERT_TRUE((*index)->FoldPostingsIncremental().ok());
 
-  query::QueryProcessor qp1(v1.get());
-  query::QueryProcessor qp2(v2.get());
-  eventlog::ActivityId r = v1->dictionary().Lookup("R");
-  eventlog::ActivityId a = v1->dictionary().Lookup("A");
-  eventlog::ActivityId b = v1->dictionary().Lookup("B");
+  query::QueryProcessor qp(index->get());
+  baseline::SaseEngine engine(&log);
+  eventlog::ActivityId r = (*index)->dictionary().Lookup("R");
+  eventlog::ActivityId a = (*index)->dictionary().Lookup("A");
+  eventlog::ActivityId b = (*index)->dictionary().Lookup("B");
+  // The oracle reads the log's own ids; both dictionaries intern in order.
+  ASSERT_EQ(log.dictionary().Lookup("R"), r);
+  ASSERT_EQ(log.dictionary().Lookup("B"), b);
   for (const query::Pattern& pattern :
        {query::Pattern({r, a, b}), query::Pattern({a, b, a}),
         query::Pattern({a, b, a, b})}) {
-    auto lhs = qp1.Detect(pattern);
-    auto rhs = qp2.Detect(pattern);
-    ASSERT_TRUE(lhs.ok());
-    ASSERT_TRUE(rhs.ok());
+    auto got = qp.Detect(pattern);
+    ASSERT_TRUE(got.ok());
+    auto expected = engine.DetectExtended(
+        query::ExtendedPattern::FromPlain(pattern), options.policy);
+    ASSERT_TRUE(expected.ok());
+    ASSERT_FALSE(expected->empty());
+    std::vector<query::PatternMatch> oracle;
+    for (const baseline::SaseMatch& m : *expected) {
+      oracle.push_back(query::PatternMatch{m.trace, m.timestamps});
+    }
     auto sort_matches = [](std::vector<query::PatternMatch>* m) {
       std::sort(m->begin(), m->end(),
                 [](const query::PatternMatch& x,
@@ -337,87 +326,13 @@ TEST(PostingFormatTest, SelectiveDetectMatchesUnprunedResults) {
                          std::tie(y.trace, y.timestamps);
                 });
     };
-    sort_matches(&*lhs);
-    sort_matches(&*rhs);
-    EXPECT_EQ(*lhs, *rhs);
+    sort_matches(&*got);
+    sort_matches(&oracle);
+    EXPECT_EQ(*got, oracle);
   }
   // The rare-anchored pattern must actually have skipped blocks of the
   // hot (A,B) list.
-  EXPECT_GT(v2->read_stats().blocks_skipped, 0u);
-}
-
-TEST(PostingFormatTest, V1IndexUpgradesAcrossReopen) {
-  namespace fs = std::filesystem;
-  auto dir = fs::temp_directory_path() /
-             ("seqdet_posting_fmt_test_" + std::to_string(::getpid()));
-  fs::remove_all(dir);
-  EventLog log = SkewedLog(64);
-  std::vector<PairOccurrence> before;
-  EventTypePair pair;
-
-  {
-    // Write with the legacy flat format.
-    auto db = storage::Database::Open(dir.string());
-    ASSERT_TRUE(db.ok());
-    IndexOptions options = SingleThreaded();
-    options.posting_format = kPostingFormatFlat;
-    auto index = SequenceIndex::Open(db->get(), options);
-    ASSERT_TRUE(index.ok());
-    ASSERT_TRUE((*index)->Update(log).ok());
-    EXPECT_EQ((*index)->posting_format(), kPostingFormatFlat);
-    pair = EventTypePair{(*index)->dictionary().Lookup("A"),
-                         (*index)->dictionary().Lookup("B")};
-    auto postings = (*index)->GetPairPostings(pair);
-    ASSERT_TRUE(postings.ok());
-    before = *postings;
-    ASSERT_FALSE(before.empty());
-    ASSERT_TRUE((*index)->Flush().ok());
-  }
-  {
-    // Reopen with default options: persisted format wins, reads stay v1.
-    auto db = storage::Database::Open(dir.string());
-    ASSERT_TRUE(db.ok());
-    auto index = SequenceIndex::Open(db->get(), SingleThreaded());
-    ASSERT_TRUE(index.ok());
-    EXPECT_EQ((*index)->posting_format(), kPostingFormatFlat);
-    auto postings = (*index)->GetPairPostings(pair);
-    ASSERT_TRUE(postings.ok());
-    EXPECT_EQ(*postings, before);
-
-    // Upgrade in place.
-    ASSERT_TRUE((*index)->FoldPostings().ok());
-    EXPECT_EQ((*index)->posting_format(), kPostingFormatBlocked);
-    postings = (*index)->GetPairPostings(pair);
-    ASSERT_TRUE(postings.ok());
-    EXPECT_EQ(*postings, before);
-    auto report = (*index)->CheckConsistency();
-    ASSERT_TRUE(report.ok());
-    EXPECT_TRUE(report->ok()) << report->violations.front();
-    ASSERT_TRUE((*index)->Flush().ok());
-  }
-  {
-    // Post-upgrade reopen reads blocked values and appends mini-blocks.
-    auto db = storage::Database::Open(dir.string());
-    ASSERT_TRUE(db.ok());
-    auto index = SequenceIndex::Open(db->get(), SingleThreaded());
-    ASSERT_TRUE(index.ok());
-    EXPECT_EQ((*index)->posting_format(), kPostingFormatBlocked);
-    auto postings = (*index)->GetPairPostings(pair);
-    ASSERT_TRUE(postings.ok());
-    EXPECT_EQ(*postings, before);
-
-    EventLog more;
-    more.Append(9001, "A", 1);
-    more.Append(9001, "B", 2);
-    ASSERT_TRUE((*index)->Update(more).ok());
-    postings = (*index)->GetPairPostings(pair);
-    ASSERT_TRUE(postings.ok());
-    EXPECT_EQ(postings->size(), before.size() + 1);
-    auto report = (*index)->CheckConsistency();
-    ASSERT_TRUE(report.ok());
-    EXPECT_TRUE(report->ok()) << report->violations.front();
-  }
-  fs::remove_all(dir);
+  EXPECT_GT((*index)->read_stats().blocks_skipped, 0u);
 }
 
 // ---------------------------------------------------------------------------

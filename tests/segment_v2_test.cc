@@ -1,11 +1,12 @@
-// SDSEG2 format tests: v1/v2 read compatibility, mmap vs buffered reader
-// equivalence, the posting-FOR block codec (pinned against the index
+// SDSEG2 format tests: lower-bound search across block fences, mmap vs
+// buffered reader equivalence, the posting-FOR block codec (pinned against the index
 // encoder that produces the values it transcodes), batch varint decode,
 // bit packing, and corruption fuzzing (every damage must surface as
 // Status::Corruption, never as a crash or wrong data).
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -97,31 +98,25 @@ TEST(SegmentV2Test, RoundTripManyBlocks) {
   auto entries = MakeEntries(2000);
   auto segment = Segment::FromBuffer(BuildSegment(entries, {}));
   ASSERT_TRUE(segment.ok()) << segment.status();
-  EXPECT_EQ((*segment)->format(), 2u);
   EXPECT_GT((*segment)->stats().num_blocks, 1u);
   ExpectReadsAllEntries(**segment, entries);
 }
 
 TEST(SegmentV2Test, V1AndV2ReadTheSameEntries) {
   auto entries = MakeEntries(500);
-  SegmentWriteOptions v1;
-  v1.format_version = 1;
-  auto s1 = Segment::FromBuffer(BuildSegment(entries, v1));
-  auto s2 = Segment::FromBuffer(BuildSegment(entries, {}));
-  ASSERT_TRUE(s1.ok()) << s1.status();
-  ASSERT_TRUE(s2.ok()) << s2.status();
-  EXPECT_EQ((*s1)->format(), 1u);
-  EXPECT_EQ((*s2)->format(), 2u);
-  ExpectReadsAllEntries(**s1, entries);
-  ExpectReadsAllEntries(**s2, entries);
-  // The v2 LowerBound must agree with v1 for keys on, between and past
-  // block fences.
+  auto segment = Segment::FromBuffer(BuildSegment(entries, {}));
+  ASSERT_TRUE(segment.ok()) << segment.status();
+  ExpectReadsAllEntries(**segment, entries);
+  // LowerBound must agree with std::lower_bound over the sorted input for
+  // keys on, between and past block fences.
   for (const std::string probe :
        {"key000000", "key000100x", "key001999", "zzz", "a"}) {
-    auto l1 = (*s1)->LowerBound(probe);
-    auto l2 = (*s2)->LowerBound(probe);
-    ASSERT_TRUE(l1.ok() && l2.ok());
-    EXPECT_EQ(*l1, *l2) << probe;
+    auto got = (*segment)->LowerBound(probe);
+    ASSERT_TRUE(got.ok()) << got.status();
+    auto it = std::lower_bound(
+        entries.begin(), entries.end(), probe,
+        [](const auto& e, const std::string& k) { return e.first < k; });
+    EXPECT_EQ(*got, static_cast<size_t>(it - entries.begin())) << probe;
   }
 }
 
@@ -154,7 +149,6 @@ TEST(SegmentV2Test, EmptySegmentIsValid) {
   auto segment = Segment::FromBuffer(builder.Finish());
   ASSERT_TRUE(segment.ok()) << segment.status();
   EXPECT_EQ((*segment)->size(), 0u);
-  EXPECT_EQ((*segment)->format(), 2u);
   auto miss = (*segment)->Find("anything");
   ASSERT_TRUE(miss.ok());
   EXPECT_EQ(*miss, nullptr);
@@ -274,22 +268,21 @@ TEST(SegmentCodecTest, NonPostingValuesFallBackToRaw) {
 }
 
 TEST(SegmentCodecTest, SegmentStoresPostingValuesSmallerThanV1) {
-  // An apples-to-apples segment pair holding posting-list values: v2 with
-  // the posting-FOR codec must be materially smaller than flat v1.
+  // Posting-list values under the posting-FOR codec must seal materially
+  // smaller than the uncompressed kind|len|key|len|value records the
+  // segment reports as its logical size.
   std::vector<std::pair<std::string, std::string>> entries;
   for (int i = 0; i < 64; ++i) {
     entries.emplace_back(StringPrintf("p0|%04d|%04d", i, i + 1),
                          MakePostingValue(500, 1700000000000 + i));
   }
-  SegmentWriteOptions v1;
-  v1.format_version = 1;
-  std::string sealed_v1 = BuildSegment(entries, v1);
-  std::string sealed_v2 = BuildSegment(entries, {});
-  EXPECT_LT(sealed_v2.size() * 2, sealed_v1.size())
-      << "v2=" << sealed_v2.size() << " v1=" << sealed_v1.size();
-
-  auto segment = Segment::FromBuffer(sealed_v2);
+  std::string sealed = BuildSegment(entries, {});
+  auto segment = Segment::FromBuffer(sealed);
   ASSERT_TRUE(segment.ok()) << segment.status();
+  const uint64_t logical = (*segment)->stats().logical_bytes;
+  EXPECT_EQ((*segment)->stats().disk_bytes, sealed.size());
+  EXPECT_LT(sealed.size() * 2, logical)
+      << "sealed=" << sealed.size() << " logical=" << logical;
   ExpectReadsAllEntries(**segment, entries);
   // Decoded values must parse back through the index decoder.
   auto e = (*segment)->Find(entries[3].first);

@@ -12,8 +12,9 @@
 #   (defaults: build-asan, build-tsan)
 #   --static   run only the fast pre-merge slice: the static gate
 #              (check_static.sh, which includes the negative probes and
-#              seqdet-lint) plus a plain build and the tier-1 ctest
-#              labels, then exit — no sanitizer sweeps, no smoke.
+#              seqdet-lint) plus a plain -Werror build (SEQDET_WERROR=ON)
+#              and the tier-1 ctest labels, then exit — no sanitizer
+#              sweeps, no smoke.
 # Set SEQDET_SKIP_TSAN=1 to run only the ASan/UBSan pass.
 # Set SEQDET_SKIP_STATIC=1 to skip the static gate.
 # Set SEQDET_RUN_BENCH=1 to also run the bench regression gate
@@ -38,7 +39,7 @@ fi
 if [[ "${STATIC_ONLY}" == "1" ]]; then
   PLAIN_DIR="${REPO_DIR}/build"
   echo "=== STATIC-ONLY: plain build + tier-1 ctest (${PLAIN_DIR}) ==="
-  cmake -B "${PLAIN_DIR}" -S "${REPO_DIR}"
+  cmake -B "${PLAIN_DIR}" -S "${REPO_DIR}" -DSEQDET_WERROR=ON
   cmake --build "${PLAIN_DIR}" -j"$(nproc)"
   ctest --test-dir "${PLAIN_DIR}" --output-on-failure -j"$(nproc)" \
       -L tier1

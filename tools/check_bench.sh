@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Bench regression gate: runs the benches that have committed baseline
-# JSONs (BENCH_storage.json, BENCH_posting_blocks.json,
-# BENCH_query_parallel.json, BENCH_router.json) and fails when any
+# JSONs (BENCH_query_parallel.json, BENCH_router.json) and fails when any
 # `speedup` or `*ms_per_query` field regresses by more than the tolerance
 # (default 20%) against the baseline — lower speedup or higher query time.
 #
@@ -31,26 +30,22 @@ if [[ ! -d "${BUILD_DIR}" ]]; then
 fi
 echo "=== BENCH: build bench binaries ==="
 cmake --build "${BUILD_DIR}" -j"$(nproc)" \
-  --target bench_storage bench_posting_blocks bench_parallel_query bench_router
+  --target bench_parallel_query bench_router
 
 TMP_DIR="$(mktemp -d)"
 trap 'rm -rf "${TMP_DIR}"' EXIT
 
 declare -A BASELINES=(
-  [storage]="${REPO_DIR}/BENCH_storage.json"
-  [posting_blocks]="${REPO_DIR}/BENCH_posting_blocks.json"
   [query_parallel]="${REPO_DIR}/BENCH_query_parallel.json"
   [router]="${REPO_DIR}/BENCH_router.json"
 )
 declare -A BINARIES=(
-  [storage]="${BUILD_DIR}/bench/bench_storage"
-  [posting_blocks]="${BUILD_DIR}/bench/bench_posting_blocks"
   [query_parallel]="${BUILD_DIR}/bench/bench_parallel_query"
   [router]="${BUILD_DIR}/bench/bench_router"
 )
 
 status=0
-for bench in storage posting_blocks query_parallel router; do
+for bench in query_parallel router; do
   baseline="${BASELINES[$bench]}"
   binary="${BINARIES[$bench]}"
   if [[ ! -f "${baseline}" ]]; then
